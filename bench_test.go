@@ -751,7 +751,8 @@ func BenchmarkHealingConvergence(b *testing.B) {
 // leaseBench measures one Acquire+Release pair through the lease manager at
 // the given TTL with exactly g goroutines churning, comparable to the raw
 // handle Get+Free benchmarks: the delta over those is the cost of leasing
-// (token mint, entry transition, wheel insert for finite TTLs).
+// (token mint, entry transition, pooled handle, and a clock read for the
+// deadline of a finite TTL).
 func leaseBench(ttl time.Duration, capacity, goroutines int) func(b *testing.B) {
 	return func(b *testing.B) {
 		arr := core.MustNew(core.Config{Capacity: capacity, Seed: 71})
@@ -786,9 +787,9 @@ func leaseBench(ttl time.Duration, capacity, goroutines int) func(b *testing.B) 
 }
 
 // BenchmarkLeaseAcquireRelease compares the lease manager's session cost for
-// infinite leases (no deadline, no wheel traffic) against finite-TTL leases
-// (deadline computation plus a hashed-wheel insert per acquire), at 1 and 8
-// goroutines.
+// infinite leases (no deadline) against finite-TTL leases (one clock read for
+// the deadline; expiry is the expirer's table walk, off the session path), at
+// 1 and 8 goroutines.
 func BenchmarkLeaseAcquireRelease(b *testing.B) {
 	const capacity = 4 * 1000
 	for _, tc := range []struct {

@@ -6,7 +6,7 @@ package cluster
 // lease contract the ISSUE demands — zero duplicate names across nodes, no
 // reissue of a name before its server-stated deadline, zero lost releases,
 // stale tokens fenced — and a post-run phase proves failover healed the
-// namespace: once the reclaim deadline (TTL + 2 wheel ticks after the epoch
+// namespace: once the reclaim deadline (TTL + 2 expirer ticks after the epoch
 // bump, plus slack) has passed, every adopted partition must grant again and
 // none of the killed node's names may be leaked.
 //
@@ -692,7 +692,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	}
 	// reclaimBound is the contractual window after an epoch bump within
 	// which a killed node's names must be fenced and reissuable: the TTL any
-	// of its leases could still run, plus two wheel ticks, plus slack.
+	// of its leases could still run, plus two expirer ticks, plus slack.
 	reclaimBound := cfg.TTL + 2*tick + cfg.ReclaimSlack
 
 	// The metrics watcher scrapes /metrics from every member throughout the

@@ -381,7 +381,7 @@ var renewGroupPool = sync.Pool{New: func() any { return &renewGroup{} }}
 
 // renewSessionWire bulk-renews the referenced leases under one table lock,
 // grouped per partition so each owned partition takes one RenewAll pass
-// (one clock read, batched wheel inserts). Per-item outcomes are
+// (one clock read, one group commit). Per-item outcomes are
 // index-aligned with the request.
 func (n *Node) renewSessionWire(items []wire.Ref, ttl time.Duration, resp *wire.Response) {
 	n.mu.RLock()

@@ -23,11 +23,10 @@ type RenewOutcome struct {
 	Deadline time.Time
 }
 
-// AcquireN grants up to n leases with one shared TTL in a single pass:
-// one clock read and one deadline for the whole batch, and — because every
-// granted lease lands on the same deadline tick — one wheel-bucket lock for
-// all of the timer records instead of one per lease. Grants stop early at
-// the first registration failure (typically activity.ErrFull).
+// AcquireN grants up to n leases with one shared TTL in a single pass: one
+// clock read and one deadline for the whole batch, one stripe for its
+// counters, and under a journal one group commit. Grants stop early at the
+// first registration failure (typically activity.ErrFull).
 //
 // It returns the granted prefix appended to dst. The error is non-nil only
 // when nothing was granted: a partially filled batch is a success whose
@@ -51,14 +50,15 @@ func (m *Manager) AcquireN(n int, ttl time.Duration, dst []Lease) ([]Lease, erro
 	base := len(dst)
 	var firstErr error
 	var recs []wal.Record
+	st := m.pick()
 	m.journalRLock()
 	for i := 0; i < n; i++ {
-		h := m.getHandle()
-		m.pendingGets.Add(1)
+		h := m.getHandle(st)
+		st.pendingGets.Add(1)
 		name, err := h.Get()
 		if err != nil {
-			m.pendingGets.Add(-1)
-			m.putHandle(h)
+			st.pendingGets.Add(-1)
+			st.put(h)
 			if errors.Is(err, activity.ErrFull) {
 				m.failedAcquires.Add(1)
 			}
@@ -71,13 +71,9 @@ func (m *Manager) AcquireN(n int, ttl time.Duration, dst []Lease) ([]Lease, erro
 		e.active = true
 		e.token = token
 		e.deadline = deadline
-		e.wheelTick = 0
-		if deadline != 0 {
-			e.wheelTick = m.tickOf(deadline)
-		}
 		e.handle = h
 		e.mu.Unlock()
-		m.pendingGets.Add(-1)
+		st.pendingGets.Add(-1)
 		if m.journal != nil {
 			recs = append(recs, wal.Record{Op: wal.OpAcquire, Name: uint32(name), Token: token, Deadline: deadline})
 		}
@@ -94,10 +90,9 @@ func (m *Manager) AcquireN(n int, ttl time.Duration, dst []Lease) ([]Lease, erro
 				if e.active && e.token == l.Token {
 					h := e.handle
 					e.active = false
-					e.wheelTick = 0
 					e.handle = nil
 					_ = h.Free()
-					m.putHandle(h)
+					st.put(h)
 				}
 				e.mu.Unlock()
 			}
@@ -106,35 +101,19 @@ func (m *Manager) AcquireN(n int, ttl time.Duration, dst []Lease) ([]Lease, erro
 		}
 	}
 	m.journalRUnlock()
-	granted := dst[base:]
-	if deadline != 0 && len(granted) > 0 {
-		m.wheelInsertBatch(deadline, granted)
-	}
-	m.acquires.Add(uint64(len(granted)))
-	m.active.Add(int64(len(granted)))
-	if len(granted) == 0 && firstErr != nil {
+	granted := len(dst) - base
+	st.acquires.Add(uint64(granted))
+	if granted == 0 && firstErr != nil {
 		return dst, firstErr
 	}
 	return dst, nil
 }
 
-// wheelInsertBatch appends one timer record per lease into the single bucket
-// of the shared deadline tick, locking it once.
-func (m *Manager) wheelInsertBatch(deadlineNanos int64, leases []Lease) {
-	b := &m.wheel[int(m.tickOf(deadlineNanos)%int64(len(m.wheel)))]
-	b.mu.Lock()
-	for _, l := range leases {
-		b.items = append(b.items, wheelItem{name: l.Name, token: l.Token})
-	}
-	b.mu.Unlock()
-}
-
 // RenewAll extends every lease in refs to one shared deadline in a single
 // pass: one clock read for the batch, per-entry fencing exactly as Renew,
-// and the wheel records that do need re-inserting batched into one bucket
-// lock. Outcomes are reported per lease in the returned slice (appended to
-// dst, index-aligned with refs); a stale or missing lease does not stop the
-// rest of the batch. The error is non-nil only for whole-batch failures
+// and under a journal one group commit. Outcomes are reported per lease in
+// the returned slice (appended to dst, index-aligned with refs); a stale or
+// missing lease does not stop the rest of the batch. The error is non-nil only for whole-batch failures
 // (ErrClosed, ErrTTLTooLong).
 func (m *Manager) RenewAll(refs []Ref, ttl time.Duration, dst []RenewOutcome) ([]RenewOutcome, error) {
 	if m.closed.Load() {
@@ -150,10 +129,6 @@ func (m *Manager) RenewAll(refs []Ref, ttl time.Duration, dst []RenewOutcome) ([
 	}
 	deadlineTime := fromNanos(deadline)
 
-	// Leases whose live wheel record does not cover the new deadline need a
-	// fresh one; collect them and insert under one bucket lock (every record
-	// in the batch shares the deadline, hence the bucket).
-	var inserts []Lease
 	var recs []wal.Record
 	var renewed uint64
 	m.journalRLock()
@@ -178,12 +153,6 @@ func (m *Manager) RenewAll(refs []Ref, ttl time.Duration, dst []RenewOutcome) ([
 			continue
 		}
 		e.deadline = deadline
-		// Same skip rule as Renew: an existing record at an earlier-or-equal
-		// tick re-hashes to the then-current deadline when it fires.
-		if deadline != 0 && (e.wheelTick == 0 || m.tickOf(deadline) < e.wheelTick) {
-			e.wheelTick = m.tickOf(deadline)
-			inserts = append(inserts, Lease{Name: ref.Name, Token: ref.Token})
-		}
 		e.mu.Unlock()
 		if m.journal != nil {
 			recs = append(recs, wal.Record{Op: wal.OpRenew, Name: uint32(ref.Name), Token: ref.Token, Deadline: deadline})
@@ -202,9 +171,6 @@ func (m *Manager) RenewAll(refs []Ref, ttl time.Duration, dst []RenewOutcome) ([
 		}
 	}
 	m.journalRUnlock()
-	if len(inserts) > 0 {
-		m.wheelInsertBatch(deadline, inserts)
-	}
-	m.renews.Add(renewed)
+	m.pick().renews.Add(renewed)
 	return dst, nil
 }

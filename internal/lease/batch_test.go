@@ -78,7 +78,7 @@ func TestAcquireNBatchExpires(t *testing.T) {
 	clk.advance(2 * testTick)
 	m.Tick()
 	if got := m.Active(); got != 0 {
-		t.Fatalf("Active after deadline tick = %d, want 0: the shared wheel record must cover every grant", got)
+		t.Fatalf("Active after deadline tick = %d, want 0: every grant of the batch must expire", got)
 	}
 }
 

@@ -7,109 +7,62 @@ import (
 	"github.com/levelarray/levelarray/internal/wal"
 )
 
-// tickOf maps a deadline to the first tick at or after it, so a lease is
-// reaped at the first expirer pass whose wall clock has reached the deadline
-// — never early, at most one tick late.
-func (m *Manager) tickOf(deadlineNanos int64) int64 {
-	tick := int64(m.cfg.TickInterval)
-	return (deadlineNanos + tick - 1) / tick
-}
-
-// wheelInsert hashes a (name, token, deadline) record into the bucket of its
-// deadline tick. Records are never searched or deleted in place: releases
-// and renews leave stale records behind, and the expirer pass drops any
-// record whose token or deadline no longer matches the live entry.
-func (m *Manager) wheelInsert(deadlineNanos int64, name int, token uint64) {
-	b := &m.wheel[int(m.tickOf(deadlineNanos)%int64(len(m.wheel)))]
-	b.mu.Lock()
-	b.items = append(b.items, wheelItem{name: name, token: token})
-	b.mu.Unlock()
-}
-
-// Tick runs one expirer pass at the current clock: every wheel bucket whose
-// tick has elapsed since the previous pass is scanned, due leases are
-// expired, and the orphan cross-check sweep runs. The background expirer
-// calls it every TickInterval; tests with a fake clock call it directly.
+// Tick runs one expirer pass at the current clock: every active lease whose
+// deadline has passed is expired, and the orphan cross-check sweep runs. The
+// background expirer calls it every TickInterval; tests with a fake clock
+// call it directly.
 func (m *Manager) Tick() {
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
-
-	now := m.now().UnixNano()
-	cur := now / int64(m.cfg.TickInterval)
-	if n := int64(len(m.wheel)); cur-m.lastTick >= n {
-		// The clock jumped a full wheel revolution (or more): every bucket
-		// may hold due records, so scan each exactly once.
-		m.lastTick = cur - n
-	}
-	for t := m.lastTick + 1; t <= cur; t++ {
-		m.expireBucket(&m.wheel[int(t%int64(len(m.wheel)))], t)
-	}
-	m.lastTick = cur
+	m.expireDue(m.now().UnixNano())
 	m.sweep()
 	m.ticks.Add(1)
 }
 
-// expireBucket drains one bucket at pass tick t: due records expire their
-// lease, records renewed to a later deadline are re-hashed, and records
-// whose token no longer matches the entry (released, expired, reissued) are
-// dropped. Due-ness is decided purely by tick arithmetic: a record is due
-// when its deadline tick (rounded up by tickOf) has been reached, and the
-// pass only runs once the wall clock has passed that tick boundary, so
-// expiry is always at-or-after the nominal deadline.
-func (m *Manager) expireBucket(b *bucket, t int64) {
-	b.mu.Lock()
-	items := b.items
-	b.items = nil
-	b.mu.Unlock()
-
-	for _, it := range items {
-		e := &m.entries[it.name]
-		m.journalRLock()
+// expireDue walks the lease table once and expires every active lease whose
+// deadline is at or before now. The walk reads each entry under its lock, so
+// it needs no record of when leases fall due: an expiry is never early, and
+// at most one tick late because a pass runs every TickInterval.
+func (m *Manager) expireDue(now int64) {
+	var expired uint64
+	for name := range m.entries {
+		e := &m.entries[name]
 		e.mu.Lock()
-		if !e.active || e.token != it.token {
-			e.mu.Unlock()
-			m.journalRUnlock()
-			continue
-		}
-		if e.deadline == 0 {
-			// Renewed to an infinite lease: this record dies here, so a
-			// later finite renew must know it needs a fresh one. Clearing
-			// unconditionally can at worst cost one redundant record if
-			// another record for this lease is still live; leaving a stale
-			// wheelTick would instead let a finite renew skip its insert and
-			// never expire.
-			e.wheelTick = 0
-			e.mu.Unlock()
-			m.journalRUnlock()
-			continue
-		}
-		if m.tickOf(e.deadline) > t {
-			// Renewed (or hashed for a later wheel revolution): re-insert at
-			// its current deadline and keep waiting.
-			deadline := e.deadline
-			e.wheelTick = m.tickOf(deadline)
-			e.mu.Unlock()
-			m.journalRUnlock()
-			m.wheelInsert(deadline, it.name, it.token)
-			continue
-		}
-		if m.journal != nil {
-			// Best-effort: there is no client to ack, and a lost expiry
-			// record merely replays the lease as held until its (already
-			// lapsed) deadline expires it again after restore.
-			_ = m.journal.Append(wal.OpExpire, uint32(it.name), it.token, 0)
-		}
-		h := e.handle
-		_ = h.Free()
-		e.active = false
-		e.wheelTick = 0
-		e.handle = nil
+		due := e.active && e.deadline != 0 && e.deadline <= now
 		e.mu.Unlock()
-		m.journalRUnlock()
-		m.putHandle(h)
-		m.active.Add(-1)
-		m.expirations.Add(1)
+		if due && m.expire(e, name, now) {
+			expired++
+		}
 	}
+	m.expirations.Add(expired)
+}
+
+// expire ends the lease on name if it is still due, journaling the expiry
+// under the checkpoint barrier like any other transition. It frees through
+// the lease's own handle even when the bit was cleared behind the manager,
+// so such a lease still ends.
+func (m *Manager) expire(e *entry, name int, now int64) bool {
+	m.journalRLock()
+	defer m.journalRUnlock()
+	e.mu.Lock()
+	if !e.active || e.deadline == 0 || e.deadline > now {
+		// Renewed or released since the walk looked.
+		e.mu.Unlock()
+		return false
+	}
+	if m.journal != nil {
+		// Best-effort: there is no client to ack, and a lost expiry
+		// record merely replays the lease as held until its (already
+		// lapsed) deadline expires it again after restore.
+		_ = m.journal.Append(wal.OpExpire, uint32(name), e.token, 0)
+	}
+	h := e.handle
+	_ = h.Free()
+	e.active = false
+	e.handle = nil
+	e.mu.Unlock()
+	m.pick().put(h)
+	return true
 }
 
 // sweep is the word-level cross-check: it walks every bitmap view
@@ -117,11 +70,20 @@ func (m *Manager) expireBucket(b *bucket, t int64) {
 // set bits against the lease table. A bit observed set with no active lease
 // on two consecutive sweeps — one full tick apart, far longer than the
 // instant between a Get and its lease activation — is an orphan and is
-// reclaimed directly on the bitmap. Reclamation additionally requires that
-// no Acquire is between its Get and its activation (pendingGets), which
-// makes a false positive impossible rather than merely improbable: if no
-// acquisition is in flight and the entry is inactive under its lock, no
-// handle holds the bit.
+// reclaimed directly on the bitmap.
+//
+// Reclamation is exact, not merely probable. Under the entry lock the sweep
+// re-reads the bit and then sums pendingGets over the stripes. While it
+// holds the lock, nothing frees the bit through the manager (every Free of
+// a leased or pending slot happens under its entry lock), so if the re-read
+// sees it set, the holder is either a bypass of the manager or an Acquire A
+// that won the bit and has not activated the entry yet. A incremented its
+// stripe's pendingGets before its Get, and so before the re-read; it
+// decrements the same stripe only after activating the entry, which needs
+// the lock the sweep holds. So the sweep's load of that stripe counts A,
+// every other stripe reads >= 0, and the sum is >= 1: the sweep reclaims
+// only when no Acquire holds the bit. The sum need not be an atomic
+// snapshot for this.
 func (m *Manager) sweep() {
 	if len(m.views) == 0 {
 		return
@@ -139,11 +101,18 @@ func (m *Manager) sweep() {
 				e.mu.Unlock()
 				return true
 			}
-			if _, suspected := m.suspects[name]; suspected && m.pendingGets.Load() == 0 {
-				v.space.Reset(name - v.base)
-				e.mu.Unlock()
-				m.orphans.Add(1)
-				return true
+			if _, suspected := m.suspects[name]; suspected {
+				if !v.space.Read(name - v.base) {
+					// Freed since the word was loaded: not an orphan.
+					e.mu.Unlock()
+					return true
+				}
+				if m.sumPendingGets() == 0 {
+					v.space.Reset(name - v.base)
+					e.mu.Unlock()
+					m.orphans.Add(1)
+					return true
+				}
 			}
 			e.mu.Unlock()
 			// First sighting — or an acquire was in flight, which keeps the
@@ -223,11 +192,8 @@ type Stats struct {
 
 // Stats returns a point-in-time snapshot of the manager's counters.
 func (m *Manager) Stats() Stats {
-	return Stats{
-		Active:           m.active.Load(),
-		Acquires:         m.acquires.Load(),
-		Renews:           m.renews.Load(),
-		Releases:         m.releases.Load(),
+	s := Stats{
+		Active:           m.sumActive(),
 		Expirations:      m.expirations.Load(),
 		FailedAcquires:   m.failedAcquires.Load(),
 		RenewRaces:       m.renewRaces.Load(),
@@ -235,6 +201,13 @@ func (m *Manager) Stats() Stats {
 		OrphansReclaimed: m.orphans.Load(),
 		Ticks:            m.ticks.Load(),
 	}
+	for i := range m.stripes {
+		st := &m.stripes[i]
+		s.Acquires += st.acquires.Load()
+		s.Renews += st.renews.Load()
+		s.Releases += st.releases.Load()
+	}
+	return s
 }
 
 // ProbeStats merges the registration-cost statistics of every handle the
@@ -243,8 +216,8 @@ func (m *Manager) Stats() Stats {
 // must only be called on a quiesced manager (no in-flight operations and the
 // expirer stopped), e.g. after Close.
 func (m *Manager) ProbeStats() activity.ProbeStats {
-	m.poolMu.Lock()
-	defer m.poolMu.Unlock()
+	m.allMu.Lock()
+	defer m.allMu.Unlock()
 	var merged activity.ProbeStats
 	for _, h := range m.all {
 		merged.Merge(h.Stats())

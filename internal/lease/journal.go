@@ -65,8 +65,7 @@ type RestoreStats struct {
 // Restore rebuilds the manager's state from its journal's recovered snapshot
 // and log tail: every surviving session is re-adopted on the underlying
 // array (a specific-name test-and-set, excluded from probe statistics), its
-// entry and timer-wheel record are rebuilt from the persisted deadline, and
-// the token-mint sequence is restarted above the recovered high-water mark.
+// entry is rebuilt with the persisted deadline, and the token-mint sequence is restarted above the recovered high-water mark.
 //
 // It must be called once, after NewManager and before Start or any
 // operation. A manager without a journal restores nothing.
@@ -110,20 +109,21 @@ func (m *Manager) RestoreState(snap *wal.Snapshot, tail []wal.Record) (RestoreSt
 	}
 	st.TokenFloor = floor
 
-	nowTick := m.now().UnixNano() / int64(m.cfg.TickInterval)
+	now := m.now().UnixNano()
 	for _, sess := range sessions {
 		name := int(sess.Name)
 		if name < 0 || name >= len(m.entries) {
 			return st, fmt.Errorf("lease: recovered session name %d outside namespace [0, %d)", name, len(m.entries))
 		}
-		h := m.getHandle()
+		home := m.pick()
+		h := m.getHandle(home)
 		ad, ok := h.(adopter)
 		if !ok {
-			m.putHandle(h)
+			home.put(h)
 			return st, ErrNotAdoptable
 		}
 		if err := ad.Adopt(name); err != nil {
-			m.putHandle(h)
+			home.put(h)
 			return st, fmt.Errorf("lease: re-adopt name %d: %w", name, err)
 		}
 		e := &m.entries[name]
@@ -131,23 +131,11 @@ func (m *Manager) RestoreState(snap *wal.Snapshot, tail []wal.Record) (RestoreSt
 		e.token = sess.Token
 		e.deadline = sess.Deadline
 		e.handle = h
-		e.wheelTick = 0
-		if sess.Deadline != 0 {
-			// Rebuild the timer record. A deadline that lapsed while the
-			// process was down hashes to a tick the expirer will never scan
-			// again, so park it one tick ahead: the first pass reaps it
-			// (expireBucket re-checks due-ness against the entry's deadline).
-			tick := m.tickOf(sess.Deadline)
-			if tick <= nowTick {
-				tick = nowTick + 1
-				st.Expired++
-			}
-			e.wheelTick = tick
-			b := &m.wheel[int(tick%int64(len(m.wheel)))]
-			b.items = append(b.items, wheelItem{name: name, token: sess.Token})
+		if sess.Deadline != 0 && sess.Deadline <= now {
+			// Lapsed while the process was down: the first Tick reaps it.
+			st.Expired++
 		}
 		st.Sessions++
-		m.active.Add(1)
 	}
 	m.restored.Store(uint64(st.Sessions))
 	return st, nil

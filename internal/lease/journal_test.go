@@ -20,7 +20,7 @@ func newJournaledManager(t *testing.T, dir string, capacity int, clk *fakeClock)
 		t.Fatalf("wal.Open: %v", err)
 	}
 	arr := core.MustNew(core.Config{Capacity: capacity})
-	m := MustNewManager(arr, Config{TickInterval: testTick, WheelBuckets: 8, Clock: clk.now, Journal: st})
+	m := MustNewManager(arr, Config{TickInterval: testTick, Clock: clk.now, Journal: st})
 	return m, st
 }
 
@@ -202,7 +202,7 @@ func TestCleanShutdownRestoreSkipsTail(t *testing.T) {
 		t.Fatalf("clean restore: snap=%v tail=%d, want snapshot and empty tail", snap, len(tail))
 	}
 	arr := core.MustNew(core.Config{Capacity: 16})
-	m2 := MustNewManager(arr, Config{TickInterval: testTick, WheelBuckets: 8, Clock: clk.now, Journal: st2})
+	m2 := MustNewManager(arr, Config{TickInterval: testTick, Clock: clk.now, Journal: st2})
 	if _, err := m2.Restore(); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestRestoreShardedArray(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shard.New: %v", err)
 	}
-	m := MustNewManager(arr, Config{TickInterval: testTick, WheelBuckets: 8, Clock: clk.now, Journal: st})
+	m := MustNewManager(arr, Config{TickInterval: testTick, Clock: clk.now, Journal: st})
 	var leases []Lease
 	for i := 0; i < 40; i++ {
 		l, err := m.Acquire(0)
@@ -281,7 +281,7 @@ func TestRestoreShardedArray(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shard.New: %v", err)
 	}
-	m2 := MustNewManager(arr2, Config{TickInterval: testTick, WheelBuckets: 8, Clock: clk.now, Journal: st2})
+	m2 := MustNewManager(arr2, Config{TickInterval: testTick, Clock: clk.now, Journal: st2})
 	if _, err := m2.Restore(); err != nil {
 		t.Fatalf("Restore over sharded array: %v", err)
 	}
@@ -341,7 +341,7 @@ func TestJournalFailureRollsBackGrant(t *testing.T) {
 	arr := core.MustNew(core.Config{Capacity: 8})
 	clk := newFakeClock()
 	fj := &failingJournal{failAfter: 1}
-	m := MustNewManager(arr, Config{TickInterval: testTick, WheelBuckets: 8, Clock: clk.now, Journal: fj})
+	m := MustNewManager(arr, Config{TickInterval: testTick, Clock: clk.now, Journal: fj})
 	if _, err := m.Acquire(0); err != nil {
 		t.Fatalf("first Acquire (journal up): %v", err)
 	}

@@ -11,13 +11,19 @@
 // can neither extend nor free a name that has since been reissued — the
 // classic fencing-token contract.
 //
-// Expiry is driven by a hashed timer wheel: each finite-TTL lease is hashed
-// into the bucket of its deadline tick (rounded up, so a lease is never
-// reaped early), and an expirer pass scans only the buckets whose ticks have
-// elapsed. A tick therefore costs O(expired + bucket collisions), not
-// O(capacity), and an abandoned lease is reclaimed within one tick of its
-// deadline. Expiry frees the slot through the same handle that acquired it,
-// so the underlying array observes a perfectly well-formed Get/Free history.
+// Expiry is a walk of the lease table: each expirer pass (Tick) visits every
+// entry and expires the active ones whose deadline has passed, so a lease is
+// never reaped early and at most one tick late. A pass costs O(namespace),
+// the same order as the orphan sweep below, and keeps no per-grant record: a
+// released lease leaves nothing behind for the expirer. Expiry frees the slot
+// through the same handle that acquired it, so the underlying array observes
+// a perfectly well-formed Get/Free history.
+//
+// The hot path shares no manager-wide lock or counter beyond the fencing
+// token sequence, which must be global because tokens increase strictly per
+// name. Idle handles and the operation counters live in cache-line-padded
+// stripes (twice GOMAXPROCS, rounded up to a power of two); each operation
+// works on the home stripe of the P it runs on, and the readers sum them.
 //
 // Each expirer pass additionally cross-checks the lease table against the
 // array's word-level bitmap state (tas.BitmapSpace.ForEachSet, one atomic
@@ -25,15 +31,17 @@
 // with no lease record is an orphan — a registration that bypassed or
 // outlived its bookkeeping — and is reclaimed directly on the bitmap. The
 // sweep runs only on arrays whose slot spaces are uninstrumented bitmap
-// spaces; other substrates keep wheel-driven expiry but skip the cross-check.
+// spaces; other substrates keep deadline expiry but skip the cross-check.
 package lease
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/levelarray/levelarray/internal/activity"
 	"github.com/levelarray/levelarray/internal/shard"
@@ -88,11 +96,6 @@ type Config struct {
 	// bounded by one tick. Zero selects 100ms.
 	TickInterval time.Duration
 
-	// WheelBuckets is the number of timer-wheel buckets deadlines hash into.
-	// More buckets mean fewer not-yet-due rescans for TTLs longer than one
-	// wheel revolution (TickInterval * WheelBuckets). Zero selects 256.
-	WheelBuckets int
-
 	// MaxTTL, when positive, caps the TTL of Acquire and Renew; longer
 	// requests fail with ErrTTLTooLong. Zero accepts any TTL, including the
 	// infinite (TTL <= 0) lease.
@@ -123,9 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.TickInterval <= 0 {
 		c.TickInterval = 100 * time.Millisecond
 	}
-	if c.WheelBuckets <= 0 {
-		c.WheelBuckets = 256
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -140,27 +140,31 @@ type entry struct {
 	active   bool
 	token    uint64
 	deadline int64 // UnixNano; 0 = infinite, never expires
-	// wheelTick is the tick of the earliest live timer-wheel record covering
-	// this lease (0 = none). Renew skips inserting a new record while one is
-	// already scheduled at or before the new deadline tick — the record's
-	// firing re-hashes to the then-current deadline — so a heartbeating
-	// client costs one wheel record, not one per renew.
-	wheelTick int64
-	handle    activity.Handle
+	handle   activity.Handle
 }
 
-// wheelItem is one timer-wheel record. Records are lazily deleted: a release
-// or renew leaves the old record in place, and the expirer drops it when the
-// token no longer matches the entry (or the deadline moved).
-type wheelItem struct {
-	name  int
-	token uint64
+// stripeState is one stripe's share of the handle pool and of the hot
+// operation counters. Each counter's total is the sum over all stripes; the
+// number of active leases is derived from them (see sumActive).
+type stripeState struct {
+	idx  int // position in Manager.stripes
+	mu   sync.Mutex
+	pool []activity.Handle // idle handles, LIFO so hot handles stay hot
+
+	// pendingGets counts Acquire calls between their Get and the activation
+	// of the entry. A call increments and decrements the same stripe, so no
+	// stripe's count is ever negative (see sweep).
+	pendingGets atomic.Int64
+	acquires    atomic.Uint64
+	renews      atomic.Uint64
+	releases    atomic.Uint64
 }
 
-// bucket is one timer-wheel bucket.
-type bucket struct {
-	mu    sync.Mutex
-	items []wheelItem
+// stripe pads a stripeState to two cache lines, so stripes written by
+// different cores share no line, nor an adjacent-line prefetch pair.
+type stripe struct {
+	stripeState
+	_ [128 - unsafe.Sizeof(stripeState{})]byte
 }
 
 // view is one window of the underlying array's namespace backed by a raw
@@ -178,19 +182,30 @@ type Manager struct {
 	cfg Config
 
 	entries []entry
-	wheel   []bucket
 	views   []view
 
 	// suspects holds the names the previous sweep found set-but-unleased;
 	// a name suspected on two consecutive sweeps is reclaimed as an orphan.
 	// Only the expirer pass (serialized by tickMu) touches it.
 	suspects map[int]struct{}
-	lastTick int64
 	tickMu   sync.Mutex
 
-	poolMu sync.Mutex
-	pool   []activity.Handle // free handles, LIFO so hot handles stay hot
-	all    []activity.Handle // every handle ever created, for ProbeStats
+	// stripes hold the idle handles and the hot counters; len is a power
+	// of two. allMu guards all, every handle ever created (for ProbeStats),
+	// and is taken only when a handle is created.
+	stripes []stripe
+	allMu   sync.Mutex
+	all     []activity.Handle
+
+	// home holds, per P, a pointer into homeIdx naming the P's home stripe
+	// (see pick); nextHome deals stripes out to Ps that have none. The pool
+	// and the indices are allocated apart from the Manager and hold no
+	// pointer into it: the runtime keeps a pool reachable for two garbage
+	// collections after its last use, which must not keep a dropped
+	// Manager, its handles and its array alive with it.
+	home     *sync.Pool
+	homeIdx  []int
+	nextHome atomic.Uint32
 
 	// journal mirrors cfg.Journal; journalMu is the checkpoint barrier. Every
 	// journaling mutation holds it for read across (entry mutation + append);
@@ -201,16 +216,7 @@ type Manager struct {
 	restored  atomic.Uint64
 
 	tokenSeq atomic.Uint64
-	// pendingGets counts Acquire calls between their Get and the activation
-	// of the entry. The orphan sweep refuses to reclaim while any are in
-	// flight, closing the window in which a freshly won bit has no lease
-	// record yet (see sweep).
-	pendingGets atomic.Int64
 
-	active         atomic.Int64
-	acquires       atomic.Uint64
-	renews         atomic.Uint64
-	releases       atomic.Uint64
 	expirations    atomic.Uint64
 	failedAcquires atomic.Uint64
 	renewRaces     atomic.Uint64
@@ -240,12 +246,17 @@ func NewManager(arr activity.Array, cfg Config) (*Manager, error) {
 		arr:      arr,
 		cfg:      cfg,
 		entries:  make([]entry, arr.Size()),
-		wheel:    make([]bucket, cfg.WheelBuckets),
 		views:    bitmapViews(arr),
 		suspects: make(map[int]struct{}),
-		lastTick: cfg.Clock().UnixNano() / int64(cfg.TickInterval),
+		stripes:  make([]stripe, ceilPow2(2*runtime.GOMAXPROCS(0))),
+		home:     new(sync.Pool),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
+	}
+	m.homeIdx = make([]int, len(m.stripes))
+	for i := range m.stripes {
+		m.stripes[i].idx = i
+		m.homeIdx[i] = i
 	}
 	m.tokenSeq.Store(cfg.TokenSeqBase)
 	m.journal = cfg.Journal
@@ -338,7 +349,7 @@ func (m *Manager) TickInterval() time.Duration { return m.cfg.TickInterval }
 func (m *Manager) Collect(dst []int) []int { return m.arr.Collect(dst) }
 
 // Active returns the number of currently active leases.
-func (m *Manager) Active() int { return int(m.active.Load()) }
+func (m *Manager) Active() int { return int(m.sumActive()) }
 
 func (m *Manager) now() time.Time { return m.cfg.Clock() }
 
@@ -357,28 +368,101 @@ func (m *Manager) clampTTL(ttl time.Duration) (time.Duration, error) {
 	return ttl, nil
 }
 
-// getHandle pops a pooled handle or creates one.
-func (m *Manager) getHandle() activity.Handle {
-	m.poolMu.Lock()
-	if n := len(m.pool); n > 0 {
-		h := m.pool[n-1]
-		m.pool = m.pool[:n-1]
-		m.poolMu.Unlock()
+// ceilPow2 returns the smallest power of two >= n (1 for n <= 1).
+func ceilPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// pick returns the stripe an operation works on: the current P's home
+// stripe, so a goroutine's Release and its next Acquire meet on one
+// cache-hot stripe and goroutines on different Ps meet on none. The home is
+// kept in a sync.Pool, whose per-P slot is read without atomics or locks. A
+// P without one (its first operation, or after garbage collections emptied
+// the pool) is dealt the next stripe in turn, so live Ps get distinct ones.
+func (m *Manager) pick() *stripe {
+	i, ok := m.home.Get().(*int)
+	if !ok {
+		i = &m.homeIdx[int(m.nextHome.Add(1))&(len(m.stripes)-1)]
+	}
+	m.home.Put(i)
+	return &m.stripes[*i]
+}
+
+// getHandle pops an idle handle or creates one. It tries every stripe with
+// TryLock from start on, then waits for the start stripe before creating a
+// handle. A handle is thus created only when each stripe was seen empty or
+// busy with another operation, which keeps the count near the peak of held
+// leases plus in-flight calls (TestHandleCountBounded).
+func (m *Manager) getHandle(start *stripe) activity.Handle {
+	mask := len(m.stripes) - 1
+	for i := range m.stripes {
+		st := &m.stripes[(start.idx+i)&mask]
+		if st.mu.TryLock() {
+			if h := st.pop(); h != nil {
+				st.mu.Unlock()
+				return h
+			}
+			st.mu.Unlock()
+		}
+	}
+	start.mu.Lock()
+	h := start.pop()
+	start.mu.Unlock()
+	if h != nil {
 		return h
 	}
-	m.poolMu.Unlock()
-	h := m.arr.Handle()
-	m.poolMu.Lock()
+	h = m.arr.Handle()
+	m.allMu.Lock()
 	m.all = append(m.all, h)
-	m.poolMu.Unlock()
+	m.allMu.Unlock()
 	return h
 }
 
-// putHandle returns an idle handle to the pool.
-func (m *Manager) putHandle(h activity.Handle) {
-	m.poolMu.Lock()
-	m.pool = append(m.pool, h)
-	m.poolMu.Unlock()
+// pop removes the most recently pooled handle; nil when the pool is empty.
+// The caller holds st.mu.
+func (st *stripeState) pop() activity.Handle {
+	n := len(st.pool)
+	if n == 0 {
+		return nil
+	}
+	h := st.pool[n-1]
+	st.pool = st.pool[:n-1]
+	return h
+}
+
+// put returns an idle handle to the stripe's pool.
+func (st *stripeState) put(h activity.Handle) {
+	st.mu.Lock()
+	st.pool = append(st.pool, h)
+	st.mu.Unlock()
+}
+
+// sumActive derives the number of active leases: restored sessions plus
+// acquires, less releases and expirations. The sum is not an atomic
+// snapshot, and an expiry can be counted before the Acquire it ends, so
+// under churn it is approximate and clamped at zero; on a quiet manager it
+// is exact.
+func (m *Manager) sumActive() int64 {
+	n := int64(m.restored.Load()) - int64(m.expirations.Load())
+	for i := range m.stripes {
+		st := &m.stripes[i]
+		n += int64(st.acquires.Load()) - int64(st.releases.Load())
+	}
+	return max(n, 0)
+}
+
+// sumPendingGets adds up pendingGets over the stripes; sweep documents why
+// the sum needs no atomic snapshot.
+func (m *Manager) sumPendingGets() int64 {
+	var n int64
+	for i := range m.stripes {
+		n += m.stripes[i].pendingGets.Load()
+	}
+	return n
 }
 
 // mintToken builds the next fencing token: a strictly increasing sequence
@@ -414,8 +498,9 @@ func (m *Manager) AcquireSpan(ttl time.Duration, sp *trace.Op) (Lease, error) {
 	if err != nil {
 		return Lease{}, err
 	}
-	h := m.getHandle()
-	m.pendingGets.Add(1)
+	st := m.pick()
+	h := m.getHandle(st)
+	st.pendingGets.Add(1)
 	var mark time.Time
 	if sp != nil {
 		mark = time.Now()
@@ -425,8 +510,8 @@ func (m *Manager) AcquireSpan(ttl time.Duration, sp *trace.Op) (Lease, error) {
 		sp.Phase(trace.PhaseLeaseTable, time.Since(mark))
 	}
 	if err != nil {
-		m.pendingGets.Add(-1)
-		m.putHandle(h)
+		st.pendingGets.Add(-1)
+		st.put(h)
 		if errors.Is(err, activity.ErrFull) {
 			m.failedAcquires.Add(1)
 		}
@@ -449,35 +534,29 @@ func (m *Manager) AcquireSpan(ttl time.Duration, sp *trace.Op) (Lease, error) {
 	e.active = true
 	e.token = token
 	e.deadline = deadline
-	e.wheelTick = 0
-	if deadline != 0 {
-		e.wheelTick = m.tickOf(deadline)
-	}
 	e.handle = h
 	if m.journal != nil {
 		// Durable-before-ack: the grant is journaled (and, under SyncAlways,
 		// fsynced) before the token leaves this function. A failed append
-		// rolls the grant back so memory and log stay in agreement.
+		// rolls the grant back so memory and log stay in agreement. The slot
+		// is freed under the entry lock, before pendingGets drops, so the
+		// orphan sweep never sees the bit set with neither a lease nor a
+		// pending Get to account for it.
 		if err := m.journalAppend(sp, wal.OpAcquire, uint32(name), token, deadline); err != nil {
+			_ = h.Free()
 			e.active = false
-			e.wheelTick = 0
 			e.handle = nil
 			e.mu.Unlock()
 			m.journalRUnlock()
-			m.pendingGets.Add(-1)
-			_ = h.Free()
-			m.putHandle(h)
+			st.pendingGets.Add(-1)
+			st.put(h)
 			return Lease{}, fmt.Errorf("lease: journal acquire: %w", err)
 		}
 	}
 	e.mu.Unlock()
 	m.journalRUnlock()
-	m.pendingGets.Add(-1)
-	if deadline != 0 {
-		m.wheelInsert(deadline, name, token)
-	}
-	m.acquires.Add(1)
-	m.active.Add(1)
+	st.pendingGets.Add(-1)
+	st.acquires.Add(1)
 	return Lease{Name: name, Token: token, Deadline: fromNanos(deadline)}, nil
 }
 
@@ -525,22 +604,14 @@ func (m *Manager) RenewSpan(name int, token uint64, ttl time.Duration, sp *trace
 		m.renewRaces.Add(1)
 		return Lease{}, ErrStaleToken
 	}
-	oldDeadline, oldWheelTick := e.deadline, e.wheelTick
+	oldDeadline := e.deadline
 	e.deadline = deadline
-	// A new wheel record is only needed when no live record covers the new
-	// deadline: an existing record at an earlier-or-equal tick will fire and
-	// re-hash to the deadline current at that moment, so extensions ride the
-	// record they already have instead of accumulating one per renew.
-	insert := deadline != 0 && (e.wheelTick == 0 || m.tickOf(deadline) < e.wheelTick)
-	if insert {
-		e.wheelTick = m.tickOf(deadline)
-	}
 	if m.journal != nil {
 		// Durable-before-ack, same as Acquire: an extension the client may
 		// act on must survive a crash, or replay would expire the lease
 		// earlier than the deadline this call stated.
 		if err := m.journalAppend(sp, wal.OpRenew, uint32(name), token, deadline); err != nil {
-			e.deadline, e.wheelTick = oldDeadline, oldWheelTick
+			e.deadline = oldDeadline
 			e.mu.Unlock()
 			m.journalRUnlock()
 			return Lease{}, fmt.Errorf("lease: journal renew: %w", err)
@@ -548,10 +619,7 @@ func (m *Manager) RenewSpan(name int, token uint64, ttl time.Duration, sp *trace
 	}
 	e.mu.Unlock()
 	m.journalRUnlock()
-	if insert {
-		m.wheelInsert(deadline, name, token)
-	}
-	m.renews.Add(1)
+	m.pick().renews.Add(1)
 	return Lease{Name: name, Token: token, Deadline: fromNanos(deadline)}, nil
 }
 
@@ -607,13 +675,12 @@ func (m *Manager) ReleaseSpan(name int, token uint64, sp *trace.Op) error {
 	h := e.handle
 	err := h.Free()
 	e.active = false
-	e.wheelTick = 0
 	e.handle = nil
 	e.mu.Unlock()
 	m.journalRUnlock()
-	m.putHandle(h)
-	m.active.Add(-1)
-	m.releases.Add(1)
+	st := m.pick()
+	st.put(h)
+	st.releases.Add(1)
 	return err
 }
 

@@ -2,7 +2,9 @@ package lease
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,7 +43,7 @@ func newTestManager(t *testing.T, capacity int) (*Manager, *fakeClock) {
 	t.Helper()
 	arr := core.MustNew(core.Config{Capacity: capacity})
 	clk := newFakeClock()
-	m := MustNewManager(arr, Config{TickInterval: testTick, WheelBuckets: 8, Clock: clk.now})
+	m := MustNewManager(arr, Config{TickInterval: testTick, Clock: clk.now})
 	return m, clk
 }
 
@@ -194,7 +196,7 @@ func TestInfiniteLeaseNeverExpires(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	// Many full wheel revolutions.
+	// Many ticks past any finite deadline.
 	for i := 0; i < 50; i++ {
 		clk.advance(5 * testTick)
 		m.Tick()
@@ -207,9 +209,11 @@ func TestInfiniteLeaseNeverExpires(t *testing.T) {
 	}
 }
 
-func TestExpiryAcrossWheelRevolutions(t *testing.T) {
+// TestLongTTLExpiresAfterManyTicks checks a TTL spanning many expirer
+// passes: every pass before the deadline spares the lease, the first one
+// after it reaps it.
+func TestLongTTLExpiresAfterManyTicks(t *testing.T) {
 	m, clk := newTestManager(t, 4)
-	// The test wheel has 8 buckets; a 30-tick TTL wraps it almost four times.
 	ttl := 30 * testTick
 	if _, err := m.Acquire(ttl); err != nil {
 		t.Fatalf("Acquire: %v", err)
@@ -452,49 +456,148 @@ func TestBackgroundExpirer(t *testing.T) {
 	}
 }
 
-// wheelItemCount sums the live records across all timer-wheel buckets.
-func wheelItemCount(m *Manager) int {
-	total := 0
-	for i := range m.wheel {
-		m.wheel[i].mu.Lock()
-		total += len(m.wheel[i].items)
-		m.wheel[i].mu.Unlock()
-	}
-	return total
-}
-
-// TestRenewDoesNotGrowWheel pins the heartbeat memory contract: a client
-// renewing one lease forever must occupy O(1) wheel records, because Renew
-// rides the already-scheduled record (which re-hashes itself forward on
-// firing) instead of inserting a new one per renew.
-func TestRenewDoesNotGrowWheel(t *testing.T) {
-	m, clk := newTestManager(t, 4)
-	l, err := m.Acquire(5 * testTick)
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	for i := 0; i < 500; i++ {
-		if _, err := m.Renew(l.Name, l.Token, 5*testTick); err != nil {
+// TestFiniteLeasesLeaveNoHeapBehind pins the expirer's memory contract: a
+// lease that is renewed and released before its deadline leaves nothing
+// behind, so a long run of finite-TTL sessions with no expirer pass holds
+// O(namespace) memory, not O(sessions) or O(renews).
+func TestFiniteLeasesLeaveNoHeapBehind(t *testing.T) {
+	const sessions = 1_000_000
+	m, _ := newTestManager(t, 8)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		l, err := m.Acquire(time.Hour)
+		if err != nil {
+			t.Fatalf("Acquire %d: %v", i, err)
+		}
+		if _, err := m.Renew(l.Name, l.Token, time.Minute); err != nil {
 			t.Fatalf("Renew %d: %v", i, err)
 		}
-		if i%3 == 0 {
-			clk.advance(testTick)
-			m.Tick()
+		if err := m.Release(l.Name, l.Token); err != nil {
+			t.Fatalf("Release %d: %v", i, err)
 		}
 	}
-	if n := wheelItemCount(m); n > 2 {
-		t.Fatalf("wheel holds %d records after 500 renews of one lease, want O(1)", n)
-	}
-	// The surviving record must still expire the lease once renews stop.
-	clk.advance(7 * testTick)
-	m.Tick()
-	if got := m.Active(); got != 0 {
-		t.Fatalf("Active after letting the heartbeat lapse = %d, want 0", got)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("live heap grew %d bytes over %d finite-TTL sessions, want < 1 MiB", grew, sessions)
 	}
 }
 
-// TestRenewShorterTTLExpiresEarlier covers the one case Renew must insert a
-// fresh record: shortening the deadline below the scheduled tick.
+// TestHandleCountBounded checks that the striped handle pool reuses idle
+// handles under parallel churn: the manager never creates more handles than
+// the peak of held leases plus in-flight calls, give or take one per stripe.
+func TestHandleCountBounded(t *testing.T) {
+	const (
+		workers = 8
+		hold    = 3 // leases a worker acquires before releasing them all
+		rounds  = 2000
+	)
+	m, _ := newTestManager(t, 64)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			held := make([]Lease, 0, hold)
+			for r := 0; r < rounds; r++ {
+				for len(held) < hold {
+					l, err := m.Acquire(0)
+					if err != nil {
+						t.Errorf("Acquire: %v", err)
+						return
+					}
+					held = append(held, l)
+				}
+				for _, l := range held {
+					if err := m.Release(l.Name, l.Token); err != nil {
+						t.Errorf("Release: %v", err)
+						return
+					}
+				}
+				held = held[:0]
+			}
+		}()
+	}
+	wg.Wait()
+	m.allMu.Lock()
+	created := len(m.all)
+	m.allMu.Unlock()
+	if limit := workers*hold + workers + len(m.stripes); created > limit {
+		t.Fatalf("created %d handles, want at most %d (peak %d held + %d in flight + %d stripes)",
+			created, limit, workers*hold, workers, len(m.stripes))
+	}
+}
+
+// TestSweepRacingAcquiresNeverReclaims runs expirer passes back to back
+// against parallel Acquire/Release churn on a small namespace, so the orphan
+// sweep keeps finding bits whose Acquire is between its Get and its lease
+// activation. No such bit may ever be reclaimed: there are no orphans, so
+// any reclaim, or two holders of one name, is a false positive. Run it under
+// -race.
+func TestSweepRacingAcquiresNeverReclaims(t *testing.T) {
+	const (
+		workers = 4
+		rounds  = 5000
+	)
+	m, _ := newTestManager(t, 8)
+	holders := make([]atomic.Int32, m.Size())
+	var (
+		wg      sync.WaitGroup
+		stop    atomic.Bool
+		tickers sync.WaitGroup
+	)
+	tickers.Add(1)
+	go func() {
+		defer tickers.Done()
+		for !stop.Load() {
+			m.Tick()
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				l, err := m.Acquire(0)
+				if errors.Is(err, activity.ErrFull) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("Acquire: %v", err)
+					return
+				}
+				if !holders[l.Name].CompareAndSwap(0, 1) {
+					t.Errorf("name %d granted to two holders at once", l.Name)
+					return
+				}
+				holders[l.Name].Store(0)
+				if err := m.Release(l.Name, l.Token); err != nil {
+					t.Errorf("Release: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	tickers.Wait()
+	s := m.Stats()
+	if s.OrphansReclaimed != 0 {
+		t.Fatalf("sweep reclaimed %d bits with no orphan present", s.OrphansReclaimed)
+	}
+	if s.Ticks == 0 {
+		t.Fatal("no expirer pass ran during the churn")
+	}
+	if orphans, missing := m.Verify(); len(orphans) != 0 || len(missing) != 0 {
+		t.Fatalf("Verify after churn = %v, %v, want clean", orphans, missing)
+	}
+}
+
+// TestRenewShorterTTLExpiresEarlier checks that shortening a lease moves its
+// expiry earlier, not only later.
 func TestRenewShorterTTLExpiresEarlier(t *testing.T) {
 	m, clk := newTestManager(t, 4)
 	l, err := m.Acquire(20 * testTick)
@@ -507,13 +610,13 @@ func TestRenewShorterTTLExpiresEarlier(t *testing.T) {
 	clk.advance(4 * testTick)
 	m.Tick()
 	if got := m.Active(); got != 0 {
-		t.Fatalf("Active after shortened deadline = %d, want 0 (must not wait for the original 20-tick record)", got)
+		t.Fatalf("Active after shortened deadline = %d, want 0 (must not wait for the original 20-tick deadline)", got)
 	}
 }
 
-// TestRenewInfiniteThenFiniteStillExpires covers the stale-wheelTick hazard:
-// an infinite renew lets the scheduled record die, so a later finite renew
-// must schedule a fresh one.
+// TestRenewInfiniteThenFiniteStillExpires checks that a lease renewed to
+// infinite survives its old deadline, and expires again once renewed back to
+// a finite TTL.
 func TestRenewInfiniteThenFiniteStillExpires(t *testing.T) {
 	m, clk := newTestManager(t, 4)
 	l, err := m.Acquire(2 * testTick)
@@ -523,7 +626,7 @@ func TestRenewInfiniteThenFiniteStillExpires(t *testing.T) {
 	if _, err := m.Renew(l.Name, l.Token, 0); err != nil {
 		t.Fatalf("Renew to infinite: %v", err)
 	}
-	// Let the original record fire and die against the infinite deadline.
+	// Pass the original deadline while the lease is infinite.
 	clk.advance(4 * testTick)
 	m.Tick()
 	if got := m.Active(); got != 1 {
@@ -552,4 +655,34 @@ func TestStartAfterCloseIsNoop(t *testing.T) {
 		t.Fatal("Start after Close launched an expirer")
 	}
 	m.Close() // must not hang
+}
+
+// TestDroppedManagerIsCollected checks that a closed, unreferenced manager
+// is freed by the next garbage collection. The per-P home-stripe pool is
+// registered with the runtime, which keeps a pool reachable for two
+// collections after its last use; it must not keep the manager, its handles
+// and its array alive with it.
+func TestDroppedManagerIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		m := MustNewManager(core.MustNew(core.Config{Capacity: 64}), Config{TickInterval: testTick})
+		m.Start()
+		for i := 0; i < 10; i++ {
+			l, err := m.Acquire(time.Second)
+			if err != nil {
+				t.Fatalf("Acquire: %v", err)
+			}
+			if err := m.Release(l.Name, l.Token); err != nil {
+				t.Fatalf("Release: %v", err)
+			}
+		}
+		m.Close()
+		runtime.SetFinalizer(m, func(*Manager) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Fatal("manager still reachable after a garbage collection")
+	}
 }

@@ -2,6 +2,7 @@ package lease
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,9 +19,10 @@ import (
 // abandoned leases, and concurrent Collect scans. It asserts the paper's
 // validity guarantee at the lease level — a Collect may only ever return
 // names that some lease held (no invented names, no duplicates within one
-// scan) — and that after quiescing and expiring everything, the system
-// drains to exactly empty with the lease table and bitmaps in agreement.
-// It is designed to run under -race.
+// scan, and none before an Acquire that returned it was invoked) — and that
+// after quiescing and expiring everything, the system drains to exactly
+// empty with the lease table and bitmaps in agreement. It is designed to
+// run under -race.
 func TestCollectDuringStealsAndExpiry(t *testing.T) {
 	const (
 		shards  = 4
@@ -39,13 +41,26 @@ func TestCollectDuringStealsAndExpiry(t *testing.T) {
 			}
 			return core.New(core.Config{Capacity: 2, Seed: seed})
 		}})
-	m := MustNewManager(arr, Config{TickInterval: tick, WheelBuckets: 16})
+	m := MustNewManager(arr, Config{TickInterval: tick})
 	m.Start()
 	defer m.Close()
 
-	// everIssued[name] is set the moment a lease on name is granted; a
-	// collected name that was never issued would violate validity outright.
-	everIssued := make([]atomic.Bool, arr.Size())
+	// A name is held from its Get's test-and-set on, which happens inside
+	// Acquire, before the lease is returned; so a Collect may legitimately
+	// return a name whose Acquire has not returned yet. Validity is checked
+	// on intervals instead: firstInvoke[name] is the earliest time (on the
+	// monotonic clock, relative to start) at which an Acquire that returned
+	// name was invoked, firstCollected[name] the earliest time a Collect
+	// containing name returned. Every collected name must have had its
+	// Acquire invoked before that Collect returned.
+	start := time.Now()
+	since := func() int64 { return int64(time.Since(start)) }
+	firstInvoke := make([]atomic.Int64, arr.Size())
+	firstCollected := make([]atomic.Int64, arr.Size())
+	for i := range firstInvoke {
+		firstInvoke[i].Store(math.MaxInt64)
+		firstCollected[i].Store(math.MaxInt64)
+	}
 
 	var (
 		stop     atomic.Bool
@@ -61,6 +76,7 @@ func TestCollectDuringStealsAndExpiry(t *testing.T) {
 			rounds := 0
 			for !stop.Load() {
 				rounds++
+				invoked := since()
 				l, err := m.Acquire(4 * tick)
 				if err != nil {
 					if errors.Is(err, activity.ErrFull) {
@@ -72,7 +88,7 @@ func TestCollectDuringStealsAndExpiry(t *testing.T) {
 					t.Errorf("worker %d: Acquire: %v", w, err)
 					return
 				}
-				everIssued[l.Name].Store(true)
+				storeMin(&firstInvoke[l.Name], invoked)
 				if rounds%5 == 0 {
 					// Crash: walk away without releasing. The expirer must
 					// reclaim the slot; a later stale Release must bounce.
@@ -117,6 +133,7 @@ func TestCollectDuringStealsAndExpiry(t *testing.T) {
 			seen := make(map[int]bool, arr.Size())
 			for !stop.Load() {
 				buf = m.Collect(buf[:0])
+				returned := since()
 				clear(seen)
 				for _, name := range buf {
 					if name < 0 || name >= arr.Size() {
@@ -128,10 +145,7 @@ func TestCollectDuringStealsAndExpiry(t *testing.T) {
 						return
 					}
 					seen[name] = true
-					if !everIssued[name].Load() {
-						t.Errorf("Collect returned name %d that no lease ever held", name)
-						return
-					}
+					storeMin(&firstCollected[name], returned)
 				}
 			}
 		}()
@@ -141,6 +155,12 @@ func TestCollectDuringStealsAndExpiry(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
+	for name := range firstCollected {
+		if c := firstCollected[name].Load(); c != math.MaxInt64 && firstInvoke[name].Load() >= c {
+			t.Errorf("Collect returned name %d at %v, before any Acquire that returned it was invoked (first at %v)",
+				name, time.Duration(c), time.Duration(firstInvoke[name].Load()))
+		}
+	}
 	if abandons.Load() == 0 {
 		t.Fatal("scenario never abandoned a lease; expiry path not exercised")
 	}
@@ -169,5 +189,15 @@ func TestCollectDuringStealsAndExpiry(t *testing.T) {
 	}
 	if s.Acquires != s.Releases+s.Expirations {
 		t.Fatalf("ledger mismatch: %d acquires vs %d releases + %d expirations", s.Acquires, s.Releases, s.Expirations)
+	}
+}
+
+// storeMin lowers v to x if x is smaller.
+func storeMin(v *atomic.Int64, x int64) {
+	for {
+		cur := v.Load()
+		if x >= cur || v.CompareAndSwap(cur, x) {
+			return
+		}
 	}
 }

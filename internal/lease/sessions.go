@@ -54,7 +54,7 @@ func nextCursor(next, size int) int {
 // uses to pick acquire targets and to reason about rebalancing.
 func (m *Manager) LoadFactor() float64 {
 	if c := m.arr.Capacity(); c > 0 {
-		return float64(m.active.Load()) / float64(c)
+		return float64(m.sumActive()) / float64(c)
 	}
 	return 0
 }

@@ -24,8 +24,10 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"github.com/levelarray/levelarray/internal/activity"
 	"github.com/levelarray/levelarray/internal/core"
@@ -253,7 +255,7 @@ func (th *Thread) Atomically(fn func(tx *Tx) error) error {
 			return nil
 		default:
 			s.stats.Retries.Add(1)
-			runtime.Gosched()
+			backoff(attempt)
 		}
 	}
 	s.stats.Aborts.Add(1)
@@ -325,7 +327,7 @@ func (t *Tx) unlock(locked []*Var, success bool, newClock uint64) {
 func (s *STM) WaitForReaders(clockValue uint64) {
 	s.stats.Barriers.Add(1)
 	buf := make([]int, 0, s.registry.Size())
-	for {
+	for attempt := 0; ; attempt++ {
 		buf = s.registry.Collect(buf[:0])
 		blocked := false
 		for _, name := range buf {
@@ -338,6 +340,33 @@ func (s *STM) WaitForReaders(clockValue uint64) {
 		if !blocked {
 			return
 		}
-		runtime.Gosched()
+		backoff(attempt)
 	}
+}
+
+// Contention-manager constants: the first backoffYields waits only yield;
+// after that each wait sleeps for a uniformly random time below a bound
+// that starts at backoffBase and doubles per attempt up to backoffCap.
+const (
+	backoffYields = 4
+	backoffBase   = time.Microsecond
+	backoffCap    = time.Millisecond
+)
+
+// backoff waits before attempt+1 of a conflicted transaction or a blocked
+// barrier scan. Yielding alone is not enough: with more goroutines than Ps,
+// a committer preempted while it holds write locks can stay descheduled for
+// longer than the whole retry budget of yields, and every transaction that
+// touches its variables aborts. Sleeping frees the P so the holder runs, and
+// the random draw keeps conflicting transactions from retrying in lockstep.
+func backoff(attempt int) {
+	if attempt < backoffYields {
+		runtime.Gosched()
+		return
+	}
+	bound := backoffBase << min(attempt-backoffYields, 10)
+	if bound > backoffCap {
+		bound = backoffCap
+	}
+	time.Sleep(rand.N(bound) + 1)
 }

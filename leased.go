@@ -10,8 +10,8 @@ import (
 // clients, preemptible workers, anything outside the process. Acquire
 // returns a name plus a fencing token and deadline, Renew extends it,
 // Release frees it, and a background expirer (Start) reclaims overdue names
-// through a hashed timer wheel in O(expired) per tick, cross-checked against
-// the array's word-level bitmap state. See the internal/lease package
+// in one walk of the lease table per tick, cross-checked against the array's
+// word-level bitmap state. See the internal/lease package
 // documentation for the full contract.
 //
 //	arr := levelarray.MustNewSharded(levelarray.ShardedConfig{Capacity: 4096})
@@ -27,8 +27,8 @@ import (
 // and verifies it from the client side.
 type Leased = lease.Manager
 
-// LeaseConfig parameterizes a Leased manager (expirer tick interval, timer
-// wheel size, maximum TTL, clock override).
+// LeaseConfig parameterizes a Leased manager (expirer tick interval, maximum
+// TTL, token sequence base, clock override, journal).
 type LeaseConfig = lease.Config
 
 // Lease describes one granted session: the name, its fencing token, and the

@@ -175,8 +175,8 @@ fi
 # --gate / --gate-check: the benchmark regression gate.
 if [ "${1:-}" = "--gate" ] || [ "${1:-}" = "--gate-check" ]; then
   # Default gate set: the pure CPU paths. The ttl=1s lease variants are
-  # excluded — they interleave with the expirer's timer wheel, and wall-clock
-  # timer noise swamps a 5% band on shared runners.
+  # excluded — they read the wall clock per acquire and interleave with the
+  # expirer's table walk, and that noise swamps a 5% band on shared runners.
   GATE_BENCH="${GATE_BENCH:-(UncontendedGetFree|LeaseAcquireRelease)/(LevelArray|Random|LinearProbing|Deterministic|ttl=inf)}"
   COUNT="${COUNT:-5}"
   BENCHTIME="${BENCHTIME:-1s}"
